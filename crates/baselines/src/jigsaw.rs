@@ -7,7 +7,7 @@
 //! measurement crosstalk. The local distributions then refine the global
 //! one by Bayesian recombination. Jigsaw does not touch gate errors.
 
-use crate::strategy::{ExecutionRecord, MitigationStrategy, StrategyError};
+use crate::strategy::{execute_strategy, ExecutionRecord, MitigationStrategy, StrategyError};
 use crate::OverheadStats;
 use qt_circuit::Circuit;
 use qt_dist::{recombine, Distribution};
@@ -75,37 +75,6 @@ impl JigsawPlan {
     /// Number of circuit copies the batched execution runs.
     pub fn n_programs(&self) -> usize {
         self.jobs.len()
-    }
-
-    /// Stage 2: executes every mode as one parallel batch.
-    pub fn execute<'p, R: Runner>(&'p self, runner: &R) -> JigsawArtifacts<'p> {
-        let outputs = runner.run_batch(&self.jobs);
-        assert_eq!(
-            outputs.len(),
-            self.jobs.len(),
-            "runner violated the run_batch contract"
-        );
-        JigsawArtifacts {
-            plan: self,
-            outputs,
-        }
-    }
-}
-
-/// Stage-2 output of Jigsaw.
-#[derive(Debug, Clone)]
-pub struct JigsawArtifacts<'p> {
-    plan: &'p JigsawPlan,
-    outputs: Vec<qt_sim::RunOutput>,
-}
-
-impl JigsawArtifacts<'_> {
-    /// Stage 3: Bayesian recombination of the subset modes into the global
-    /// distribution.
-    pub fn recombine(&self) -> JigsawReport {
-        self.plan
-            .recombine_outputs(self.outputs.clone(), &ExecutionRecord::exact(None))
-            .expect("artifacts were produced by this plan")
     }
 }
 
@@ -178,7 +147,7 @@ impl MitigationStrategy for JigsawPlan {
                 avg_two_qubit_gates: global_out.two_qubit_gates as f64,
                 global_two_qubit_gates: global_out.two_qubit_gates,
                 batch: None,
-                total_shots: record.sampled_shots.as_ref().map(|s| s.iter().sum()),
+                total_shots: record.total_shots,
                 round_shots: record.round_shots.clone(),
                 engine_mix: record.engine_mix.clone(),
                 failures: record.failures.as_ref().map(|f| f.stats),
@@ -187,20 +156,21 @@ impl MitigationStrategy for JigsawPlan {
     }
 }
 
-/// Runs Jigsaw end to end: a wrapper over `plan → execute → recombine`.
+/// Runs Jigsaw end to end: [`plan_jigsaw`] executed through
+/// [`execute_strategy`].
 ///
 /// # Panics
 ///
-/// Panics if `subset_size` is 0 or exceeds the measured count.
+/// Panics if `subset_size` is 0 or exceeds the measured count, or if
+/// `runner` violates the batch contract.
 pub fn run_jigsaw<R: Runner>(
     runner: &R,
     circuit: &Circuit,
     measured: &[usize],
     subset_size: usize,
 ) -> JigsawReport {
-    plan_jigsaw(circuit, measured, subset_size)
-        .execute(runner)
-        .recombine()
+    execute_strategy(&plan_jigsaw(circuit, measured, subset_size), runner)
+        .expect("runner violated the batch contract")
 }
 
 #[cfg(test)]

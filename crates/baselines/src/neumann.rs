@@ -126,7 +126,7 @@ impl MitigationStrategy for NeumannPlan {
                 avg_two_qubit_gates: global_out.two_qubit_gates as f64,
                 global_two_qubit_gates: global_out.two_qubit_gates,
                 batch: None,
-                total_shots: record.sampled_shots.as_ref().map(|s| s.iter().sum()),
+                total_shots: record.total_shots,
                 round_shots: record.round_shots.clone(),
                 engine_mix: record.engine_mix.clone(),
                 failures: record.failures.as_ref().map(|f| f.stats),

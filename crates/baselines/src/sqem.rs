@@ -11,11 +11,13 @@
 //!
 //! Like the QuTracer framework itself, SQEM is staged: [`plan_sqem`]
 //! performs the classical analysis and generates every reconstruction
-//! circuit up front, [`SqemPlan::execute`] runs them all as one
-//! deduplicated batch, and [`SqemArtifacts::recombine`] reconstructs the
-//! local states classically. [`run_sqem`] wraps the three stages.
+//! circuit up front; as a [`MitigationStrategy`] the plan's circuits run
+//! as one deduplicated batch (exact through [`execute_strategy`], at
+//! finite shots through a mitigation session), and recombination
+//! reconstructs the local states classically. [`run_sqem`] is the exact
+//! one-call form.
 
-use crate::strategy::{ExecutionRecord, MitigationStrategy, StrategyError};
+use crate::strategy::{execute_strategy, ExecutionRecord, MitigationStrategy, StrategyError};
 use crate::OverheadStats;
 use qt_circuit::{passes, Circuit, Instruction};
 use qt_dist::{recombine, Distribution};
@@ -183,37 +185,6 @@ impl SqemPlan {
     pub fn n_programs(&self) -> usize {
         self.programs.len()
     }
-
-    /// Stage 2: executes every reconstruction circuit as one batch.
-    pub fn execute<'p, R: Runner>(&'p self, runner: &R) -> SqemArtifacts<'p> {
-        let outputs = runner.run_batch(&self.programs);
-        assert_eq!(
-            outputs.len(),
-            self.programs.len(),
-            "runner violated the run_batch contract"
-        );
-        SqemArtifacts {
-            plan: self,
-            outputs,
-        }
-    }
-}
-
-/// Stage-2 output of SQEM.
-#[derive(Debug, Clone)]
-pub struct SqemArtifacts<'p> {
-    plan: &'p SqemPlan,
-    outputs: Vec<RunOutput>,
-}
-
-impl SqemArtifacts<'_> {
-    /// Stage 3: reconstructs every traced qubit's mitigated state and
-    /// refines the global distribution.
-    pub fn recombine(&self) -> SqemReport {
-        self.plan
-            .recombine_outputs(self.outputs.clone(), &ExecutionRecord::exact(None))
-            .expect("artifacts were produced by this plan")
-    }
 }
 
 impl MitigationStrategy for SqemPlan {
@@ -309,7 +280,7 @@ impl MitigationStrategy for SqemPlan {
                 },
                 global_two_qubit_gates: global_out.two_qubit_gates,
                 batch: None,
-                total_shots: record.sampled_shots.as_ref().map(|s| s.iter().sum()),
+                total_shots: record.total_shots,
                 round_shots: record.round_shots.clone(),
                 engine_mix: record.engine_mix.clone(),
                 failures: record.failures.as_ref().map(|f| f.stats),
@@ -318,20 +289,25 @@ impl MitigationStrategy for SqemPlan {
     }
 }
 
-/// Runs SQEM with subset size 1 over every measured qubit: a wrapper over
-/// `plan → execute → recombine`.
+/// Runs SQEM with subset size 1 over every measured qubit: [`plan_sqem`]
+/// executed through [`execute_strategy`].
 ///
 /// # Errors
 ///
 /// Returns [`SqemUnsupported`] if any traced qubit needs more than one
 /// check layer, or if a qubit cannot be traced at all (non-diagonal
 /// coupling).
+///
+/// # Panics
+///
+/// Panics if `runner` violates the batch contract.
 pub fn run_sqem<R: Runner>(
     runner: &R,
     circuit: &Circuit,
     measured: &[usize],
 ) -> Result<SqemReport, SqemUnsupported> {
-    Ok(plan_sqem(circuit, measured)?.execute(runner).recombine())
+    Ok(execute_strategy(&plan_sqem(circuit, measured)?, runner)
+        .expect("runner violated the batch contract"))
 }
 
 /// Applies subset-local single-qubit instructions to a 2×2 state. The
@@ -412,7 +388,7 @@ mod tests {
             NoiseModel::depolarizing(0.001, 0.01),
             Backend::DensityMatrix,
         );
-        let report = plan.execute(&exec).recombine();
+        let report = execute_strategy(&plan, &exec).unwrap();
         let direct = run_sqem(&exec, &circ, &measured).unwrap();
         let xs: Vec<(u64, f64)> = report.distribution.iter().collect();
         let ys: Vec<(u64, f64)> = direct.distribution.iter().collect();

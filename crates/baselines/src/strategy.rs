@@ -21,9 +21,9 @@ use qt_sim::{BatchJob, FailureStats, RunError, RunOutput, Runner};
 /// single-round execution is the empty record.
 #[derive(Debug, Clone, Default)]
 pub struct ExecutionRecord {
-    /// Shots actually sampled per job, in [`MitigationStrategy::batch_jobs`]
-    /// order. `None` for exact-distribution executions.
-    pub sampled_shots: Option<Vec<u64>>,
+    /// Total shots actually sampled across the batch. `None` for
+    /// exact-distribution executions.
+    pub total_shots: Option<u64>,
     /// Total shots spent per session round (pilot first). `None` outside
     /// multi-round sessions.
     pub round_shots: Option<Vec<u64>>,
@@ -55,21 +55,6 @@ pub struct JobFailures {
     pub per_job: Vec<Option<RunError>>,
     /// What the retry/quarantine engine did to get here.
     pub stats: FailureStats,
-}
-
-impl JobFailures {
-    /// A failure-free record for `n` jobs.
-    pub fn none(n: usize) -> Self {
-        JobFailures {
-            per_job: vec![None; n],
-            stats: FailureStats::default(),
-        }
-    }
-
-    /// Whether any job terminally failed.
-    pub fn any_failed(&self) -> bool {
-        self.per_job.iter().any(|e| e.is_some())
-    }
 }
 
 /// Typed failure of the strategy surface — what recombination can report

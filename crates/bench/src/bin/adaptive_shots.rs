@@ -25,13 +25,27 @@
 
 use qt_algos::paper_single_layer_suite;
 use qt_bench::quick_mode;
-use qt_core::{QuTracer, QuTracerConfig, QuTracerReport, ShotPolicy};
+use qt_core::{
+    ExecError, MitigationPlan, MitigationSession, QuTracer, QuTracerConfig, QuTracerReport,
+    ShotPolicy,
+};
 use qt_dist::hellinger_fidelity;
 use qt_serve::json::{obj, Json};
 use qt_sim::{Backend, Executor};
 
 fn runner() -> Executor {
     Executor::with_backend(qt_bench::mumbai_uniform_noise(), Backend::DensityMatrix)
+}
+
+/// One offline mitigation session over `plan` under `policy`.
+fn run_session(
+    plan: &MitigationPlan,
+    exec: &Executor,
+    total: usize,
+    policy: ShotPolicy,
+    seed: u64,
+) -> Result<QuTracerReport, ExecError> {
+    MitigationSession::new(plan, policy, total, seed)?.run(exec)
 }
 
 fn assert_bit_identical(a: &QuTracerReport, b: &QuTracerReport, what: &str) {
@@ -90,19 +104,18 @@ fn main() {
         let plan = QuTracer::plan(&w.circuit, &w.measured, &cfg).expect("plannable workload");
         let total = per_program * plan.n_programs();
         for seed in 0..3u64 {
-            let uniform = plan
-                .run_sampled(&exec, total, ShotPolicy::Uniform, seed)
-                .expect("uniform run");
-            let degenerate = plan
-                .run_sampled(
-                    &exec,
-                    total,
-                    ShotPolicy::Adaptive {
-                        pilot_fraction: 0.0,
-                    },
-                    seed,
-                )
-                .expect("degenerate adaptive run");
+            let uniform =
+                run_session(&plan, &exec, total, ShotPolicy::Uniform, seed).expect("uniform run");
+            let degenerate = run_session(
+                &plan,
+                &exec,
+                total,
+                ShotPolicy::Adaptive {
+                    pilot_fraction: 0.0,
+                },
+                seed,
+            )
+            .expect("degenerate adaptive run");
             assert_bit_identical(&degenerate, &uniform, "pf=0 preflight");
         }
         preflight_ok &= true;
@@ -121,12 +134,16 @@ fn main() {
 
         let (mut fu, mut fa) = (0.0, 0.0);
         for seed in 0..n_seeds as u64 {
-            let uniform = plan
-                .run_sampled(&exec, total, ShotPolicy::Uniform, seed)
-                .expect("uniform run");
-            let adaptive = plan
-                .run_sampled(&exec, total, ShotPolicy::Adaptive { pilot_fraction }, seed)
-                .expect("adaptive run");
+            let uniform =
+                run_session(&plan, &exec, total, ShotPolicy::Uniform, seed).expect("uniform run");
+            let adaptive = run_session(
+                &plan,
+                &exec,
+                total,
+                ShotPolicy::Adaptive { pilot_fraction },
+                seed,
+            )
+            .expect("adaptive run");
             assert_eq!(uniform.stats.total_shots, Some(total as u64));
             assert_eq!(adaptive.stats.total_shots, Some(total as u64));
             fu += hellinger_fidelity(&uniform.distribution, &exact.distribution);

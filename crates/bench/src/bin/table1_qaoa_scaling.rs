@@ -13,7 +13,7 @@
 use qt_algos::{qaoa::optimize_angles, qaoa_maxcut, ring_graph};
 use qt_baselines::run_jigsaw;
 use qt_bench::{fidelity_vs_ideal, header, mumbai_uniform_noise, quick_mode, CachedRunner};
-use qt_core::{QuTracer, QuTracerConfig, ShotPolicy};
+use qt_core::{MitigationSession, QuTracer, QuTracerConfig, ShotPolicy};
 use qt_device::{Device, DeviceExecutor};
 use qt_sim::{Backend, Executor, Program, TrajectoryConfig};
 
@@ -80,14 +80,11 @@ fn main() {
         // circuit tally. The cached runner serves the exact pass's
         // distributions back, so this pass only pays for the draws.
         let budget = base_shots * plan.n_programs();
-        let shot_plan = plan
-            .allocate_shots(budget, ShotPolicy::Uniform)
-            .expect("budget funds the floor");
-        let sampled = plan
-            .execute_sampled(&exec, &shot_plan, 0xF1D0 + layers as u64)
-            .expect("sampled execution")
-            .recombine()
-            .expect("sampled recombination");
+        let sampled =
+            MitigationSession::new(&plan, ShotPolicy::Uniform, budget, 0xF1D0 + layers as u64)
+                .expect("budget funds the floor")
+                .run(&exec)
+                .expect("sampled execution");
         let total_shots = sampled
             .stats
             .total_shots

@@ -7,7 +7,7 @@
 use qt_algos::iqft_example;
 use qt_baselines::run_jigsaw;
 use qt_bench::{fidelity_vs_ideal, BestReadoutRunner, SampledRunner};
-use qt_core::{QuTracer, QuTracerConfig, ShotPolicy};
+use qt_core::{MitigationSession, QuTracer, QuTracerConfig, ShotPolicy};
 use qt_dist::hellinger_fidelity_sampled;
 use qt_sim::{Backend, Executor, NoiseModel, ReadoutModel, Runner};
 
@@ -59,27 +59,24 @@ fn sampled_fig2_reproduces_exact_method_ordering() {
 }
 
 #[test]
-fn execute_sampled_matches_sampled_runner_regime() {
-    // The plan-level finite-shot path (execute_sampled) must land in the
-    // same fidelity regime as the runner-level SampledRunner harness on
-    // the same workload and budget.
+fn session_sampled_matches_sampled_runner_regime() {
+    // The plan-level finite-shot path (a mitigation session) must land in
+    // the same fidelity regime as the runner-level SampledRunner harness
+    // on the same workload and budget.
     let noise = fig2_noise();
     let exec = Executor::with_backend(noise, Backend::DensityMatrix);
     let circ = iqft_example();
     let measured = [0usize, 1, 2];
     let plan = QuTracer::plan(&circ, &measured, &QuTracerConfig::single()).unwrap();
     let exact = plan.execute(&exec).unwrap().recombine().unwrap();
-    let shots = plan
-        .allocate_shots(16_384 * plan.n_programs(), ShotPolicy::Uniform)
-        .unwrap();
-    let sampled = plan
-        .execute_sampled(&exec, &shots, 0xCAFE)
+    let budget = 16_384 * plan.n_programs();
+    let sampled = MitigationSession::new(&plan, ShotPolicy::Uniform, budget, 0xCAFE)
         .unwrap()
-        .recombine()
+        .run(&exec)
         .unwrap();
     let f = qt_dist::hellinger_fidelity(&sampled.distribution, &exact.distribution);
     assert!(f > 0.995, "sampled vs exact refined distribution: {f}");
-    assert_eq!(sampled.stats.total_shots, Some(shots.total_shots()));
+    assert_eq!(sampled.stats.total_shots, Some(budget as u64));
 
     // The shot-noise error bar machinery agrees with reality: two
     // independently seeded global samples are consistent within 5 sigma.

@@ -97,7 +97,7 @@ pub enum ExecError {
     /// "measured" distribution would be the information-free uniform,
     /// which recombination cannot distinguish from real data.
     EmptyShotAllocation {
-        /// The zero-shot program slot.
+        /// The zero-shot job, in batch-jobs order.
         slot: usize,
     },
     /// A total shot budget below the plan's program count: the 1-shot
@@ -158,7 +158,7 @@ impl std::fmt::Display for ExecError {
             ExecError::EmptyShotAllocation { slot } => {
                 write!(
                     f,
-                    "program slot {slot} was allocated zero shots; every planned program \
+                    "job {slot} was allocated zero shots; every planned program \
                      needs at least one shot to measure anything"
                 )
             }

@@ -12,7 +12,11 @@
 //!    [`run_batch`](Runner::run_batch) submission. Identical programs
 //!    (e.g. the shared ensemble of symmetric subsets) execute once and fan
 //!    back out; the runner's existing thread-budget policy spreads the
-//!    batch over the machine.
+//!    batch over the machine. Finite-shot runs execute the same batch
+//!    through a [`MitigationSession`](crate::MitigationSession) over the
+//!    plan, which samples the outputs and recombines through the same
+//!    scatter ([`MitigationPlan`] implements
+//!    [`MitigationStrategy`]).
 //! 3. **Recombination** — [`ExecutionArtifacts::recombine`] replays the
 //!    walk of every subset against the recorded results, purely
 //!    classically, and performs the Bayesian update.
@@ -47,13 +51,12 @@
 
 use crate::error::{ExecError, PlanError, SkippedSubset};
 use crate::framework::{enumerate_subset_positions, QuTracerConfig, QuTracerReport};
-use crate::session::MitigationSession;
 use crate::trace::{
     trace_pair_with_port, trace_single_with_port, CollectPort, JobKind, JobTag, ReplayPort,
     TraceError, TraceOutcome,
 };
 use qt_baselines::{
-    apportion_shots, ExecutionRecord, MitigationStrategy, OverheadStats, StrategyError,
+    apportion_shots, ExecutionRecord, JobFailures, MitigationStrategy, OverheadStats, StrategyError,
 };
 use qt_circuit::Circuit;
 use qt_dist::{recombine, Distribution};
@@ -496,28 +499,7 @@ impl MitigationPlan {
         clustered: Vec<RunOutput>,
         engine_mix: Option<Vec<(String, usize)>>,
     ) -> Result<ExecutionArtifacts<'_>, ExecError> {
-        if clustered.len() != self.batch_order.len() {
-            return Err(ExecError::ResultCountMismatch {
-                expected: self.batch_order.len(),
-                got: clustered.len(),
-            });
-        }
-        let mut outputs: Vec<Option<RunOutput>> = vec![None; self.programs.len()];
-        for (&slot, out) in self.batch_order.iter().zip(clustered) {
-            outputs[slot] = Some(out);
-        }
-        let outputs = outputs
-            .into_iter()
-            .map(|o| o.expect("batch order is a permutation of the program slots"))
-            .collect();
-        Ok(ExecutionArtifacts {
-            plan: self,
-            outputs,
-            sampled_shots: None,
-            engine_mix,
-            failures: None,
-            round_shots: None,
-        })
+        self.artifacts_from_record(clustered, ExecutionRecord::exact(engine_mix))
     }
 
     /// Stage 2 with a failure domain: executes the plan's batch through
@@ -542,51 +524,14 @@ impl MitigationPlan {
     ) -> Result<ExecutionArtifacts<'p>, ExecError> {
         let jobs = self.batch_jobs();
         let engine_mix = runner.engine_mix(&jobs);
-        let (clustered, stats) = try_run_batch_resilient(runner, &jobs, retry);
-        self.artifacts_from_results(clustered, engine_mix, None, stats)
-    }
-
-    /// [`MitigationPlan::artifacts_from_outputs`] for fallible results:
-    /// scatters per-job `Result`s back to program-slot order, parking a
-    /// placeholder at failed slots and recording the typed errors for
-    /// recombination to degrade around.
-    fn artifacts_from_results(
-        &self,
-        clustered: Vec<Result<RunOutput, RunError>>,
-        engine_mix: Option<Vec<(String, usize)>>,
-        sampled_shots: Option<Vec<u64>>,
-        stats: FailureStats,
-    ) -> Result<ExecutionArtifacts<'_>, ExecError> {
-        if clustered.len() != self.batch_order.len() {
-            return Err(ExecError::ResultCountMismatch {
-                expected: self.batch_order.len(),
-                got: clustered.len(),
-            });
-        }
-        let mut outputs: Vec<Option<RunOutput>> = vec![None; self.programs.len()];
-        let mut per_slot: Vec<Option<RunError>> = vec![None; self.programs.len()];
-        for (&slot, res) in self.batch_order.iter().zip(clustered) {
-            match res {
-                Ok(out) => outputs[slot] = Some(out),
-                Err(err) => {
-                    outputs[slot] =
-                        Some(placeholder_output(self.programs[slot].job.measured.len()));
-                    per_slot[slot] = Some(err);
-                }
-            }
-        }
-        let outputs = outputs
-            .into_iter()
-            .map(|o| o.expect("batch order is a permutation of the program slots"))
-            .collect();
-        Ok(ExecutionArtifacts {
-            plan: self,
-            outputs,
-            sampled_shots,
+        let (results, stats) = try_run_batch_resilient(runner, &jobs, retry);
+        let (outputs, per_job) = split_results(results, &jobs);
+        let record = ExecutionRecord {
             engine_mix,
-            failures: Some(SlotFailures { per_slot, stats }),
-            round_shots: None,
-        })
+            failures: Some(JobFailures { per_job, stats }),
+            ..ExecutionRecord::default()
+        };
+        self.artifacts_from_record(outputs, record)
     }
 
     /// A serializable summary of the plan — the wire-friendly view a
@@ -671,67 +616,24 @@ impl MitigationPlan {
         }
     }
 
-    /// Stage 2 at a finite shot budget: executes every planned program as
-    /// one batched *sampled* submission — the same prefix-clustered job
-    /// stream as [`MitigationPlan::execute`], so trie prefix sharing and
-    /// cross-subset dedup carry over, with each deduplicated program
-    /// sampled once and its counts fanned out to every logical request.
-    /// The resulting artifacts recombine through the identical classical
-    /// walk, using plug-in empirical frequencies, and record the real
-    /// sampled shots in the report's [`OverheadStats::total_shots`].
-    ///
-    /// `shots` is indexed by program slot ([`MitigationPlan::programs`]
-    /// order — what [`MitigationPlan::allocate_shots`] produces); `seed`
-    /// makes the run reproducible (counts are stable across machines,
-    /// thread counts and batch policies).
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::ShotPlanMismatch`] if `shots` does not cover exactly
-    /// the plan's programs; [`ExecError::EmptyShotAllocation`] if any
-    /// program is allocated zero shots (its "measurement" would be the
-    /// uniform distribution — fabricated data recombination cannot tell
-    /// from a real result); [`ExecError::ResultCountMismatch`] if the
-    /// runner violates the batch contract.
-    pub fn execute_sampled<'p, R: Runner>(
-        &'p self,
-        runner: &R,
-        shots: &ShotPlan,
-        seed: u64,
-    ) -> Result<ExecutionArtifacts<'p>, ExecError> {
-        self.validate_shot_plan(shots)?;
-        let ordered =
-            ShotPlan::from_shots(self.batch_order.iter().map(|&s| shots.shots(s)).collect());
-        let mut session = MitigationSession::with_shots(self, ordered, seed)?;
-        session.set_engine_mix(runner.engine_mix(session.jobs()));
-        let spec = session
-            .next_round()
-            .expect("a fresh session always has a first round");
-        let clustered = runner.run_batch_sampled(session.jobs(), &spec.shots, spec.seed);
-        session.absorb_sampled(&spec, clustered)?;
-        let (_, outputs, record, _) = session.collect();
-        self.artifacts_from_record(outputs, record)
+    /// The one scatter from batch order back to program-slot order:
+    /// `batch[i]` belongs to the program at `batch_order[i]`.
+    fn to_slot_order<T>(&self, batch: Vec<T>) -> Vec<T> {
+        let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None)
+            .take(self.programs.len())
+            .collect();
+        for (&slot, value) in self.batch_order.iter().zip(batch) {
+            slots[slot] = Some(value);
+        }
+        slots
+            .into_iter()
+            .map(|v| v.expect("batch order is a permutation of the program slots"))
+            .collect()
     }
 
-    /// Validates a slot-ordered shot plan against this plan's programs:
-    /// the allocation must cover exactly the deduplicated programs and
-    /// leave none at zero shots.
-    fn validate_shot_plan(&self, shots: &ShotPlan) -> Result<(), ExecError> {
-        if shots.n_jobs() != self.programs.len() {
-            return Err(ExecError::ShotPlanMismatch {
-                expected: self.programs.len(),
-                got: shots.n_jobs(),
-            });
-        }
-        if let Some(slot) = shots.per_job().iter().position(|&s| s == 0) {
-            return Err(ExecError::EmptyShotAllocation { slot });
-        }
-        Ok(())
-    }
-
-    /// Builds [`ExecutionArtifacts`] from a session's batch-ordered
-    /// outputs and execution record, scattering everything back to
-    /// program-slot order.
+    /// Builds [`ExecutionArtifacts`] from batch-ordered outputs and their
+    /// execution record — exact, fallible or session-sampled — scattering
+    /// per-job data back to program-slot order.
     fn artifacts_from_record(
         &self,
         outputs: Vec<RunOutput>,
@@ -744,112 +646,17 @@ impl MitigationPlan {
                 got: outputs.len(),
             });
         }
-        let mut slot_outputs: Vec<Option<RunOutput>> = vec![None; n];
-        for (&slot, out) in self.batch_order.iter().zip(outputs) {
-            slot_outputs[slot] = Some(out);
-        }
-        let outputs: Vec<RunOutput> = slot_outputs
-            .into_iter()
-            .map(|o| o.expect("batch order is a permutation of the program slots"))
-            .collect();
-        let sampled_shots = record.sampled_shots.as_ref().map(|per_job| {
-            let mut per_slot = vec![0u64; n];
-            for (&slot, &shots) in self.batch_order.iter().zip(per_job) {
-                per_slot[slot] = shots;
-            }
-            per_slot
-        });
-        let failures = record.failures.as_ref().map(|jf| {
-            let mut per_slot: Vec<Option<RunError>> = vec![None; n];
-            for (&slot, err) in self.batch_order.iter().zip(&jf.per_job) {
-                per_slot[slot] = err.clone();
-            }
-            SlotFailures {
-                per_slot,
-                stats: jf.stats,
-            }
-        });
         Ok(ExecutionArtifacts {
             plan: self,
-            outputs,
-            sampled_shots,
+            outputs: self.to_slot_order(outputs),
+            total_shots: record.total_shots,
             engine_mix: record.engine_mix,
-            failures,
+            failures: record.failures.map(|jf| SlotFailures {
+                per_slot: self.to_slot_order(jf.per_job),
+                stats: jf.stats,
+            }),
             round_shots: record.round_shots,
         })
-    }
-
-    /// Runs the plan as a policy-driven
-    /// [`MitigationSession`](crate::MitigationSession) and recombines —
-    /// the one-call form of `session.run(runner)` for callers that want a
-    /// report, not artifacts. With [`ShotPolicy::Adaptive`] this is the
-    /// full two-round pilot/Neyman schedule.
-    ///
-    /// # Errors
-    ///
-    /// The session-construction errors of
-    /// [`MitigationSession::new`](crate::MitigationSession::new) plus
-    /// whatever execution and recombination report.
-    pub fn run_sampled<R: Runner>(
-        &self,
-        runner: &R,
-        total_shots: usize,
-        policy: ShotPolicy,
-        seed: u64,
-    ) -> Result<QuTracerReport, ExecError> {
-        MitigationSession::new(self, policy, total_shots, seed)?.run(runner)
-    }
-
-    /// [`MitigationPlan::run_sampled`] with the failure domain of
-    /// [`MitigationPlan::execute_sampled_fallible`]: every session round
-    /// executes through the resilient surface and degrades typed.
-    ///
-    /// # Errors
-    ///
-    /// As [`MitigationPlan::run_sampled`].
-    pub fn run_sampled_fallible<R: Runner>(
-        &self,
-        runner: &R,
-        total_shots: usize,
-        policy: ShotPolicy,
-        seed: u64,
-        retry: &RetryPolicy,
-    ) -> Result<QuTracerReport, ExecError> {
-        MitigationSession::new(self, policy, total_shots, seed)?.run_fallible(runner, retry)
-    }
-
-    /// [`MitigationPlan::execute_sampled`] with the failure domain of
-    /// [`MitigationPlan::execute_fallible`]. Exact distributions come from
-    /// the fallible batch surface (so transient failures retry against
-    /// *exact* re-execution), and each surviving job is then sampled with
-    /// the seed derived from its original submission index — a retried
-    /// job's counts are therefore bit-identical to the fault-free sampled
-    /// run, no matter how many attempts it took.
-    ///
-    /// # Errors
-    ///
-    /// The shot-plan validation errors of
-    /// [`MitigationPlan::execute_sampled`], plus
-    /// [`ExecError::ResultCountMismatch`] for a contract-violating runner.
-    pub fn execute_sampled_fallible<'p, R: Runner>(
-        &'p self,
-        runner: &R,
-        shots: &ShotPlan,
-        seed: u64,
-        retry: &RetryPolicy,
-    ) -> Result<ExecutionArtifacts<'p>, ExecError> {
-        self.validate_shot_plan(shots)?;
-        let ordered =
-            ShotPlan::from_shots(self.batch_order.iter().map(|&s| shots.shots(s)).collect());
-        let mut session = MitigationSession::with_shots(self, ordered, seed)?;
-        session.set_engine_mix(runner.engine_mix(session.jobs()));
-        let spec = session
-            .next_round()
-            .expect("a fresh session always has a first round");
-        let (clustered, stats) = try_run_batch_resilient(runner, session.jobs(), retry);
-        session.absorb_fallible(&spec, clustered, stats)?;
-        let (_, outputs, record, _) = session.collect();
-        self.artifacts_from_record(outputs, record)
     }
 }
 
@@ -858,8 +665,8 @@ impl MitigationPlan {
 /// scatters outputs back to program-slot order and runs the full Bayesian
 /// recombination. Budget allocation apportions in *slot* order (the
 /// tie-breaking order of [`MitigationPlan::allocate_shots`]) and permutes
-/// to batch order, so a uniform session round reproduces the legacy
-/// single-round allocation bit-for-bit.
+/// to batch order, so a uniform session round spends exactly the
+/// allocation [`MitigationPlan::allocate_shots`] reports.
 impl MitigationStrategy for MitigationPlan {
     type Report = QuTracerReport;
 
@@ -881,11 +688,7 @@ impl MitigationStrategy for MitigationPlan {
     }
 
     fn allocate_budget(&self, total_shots: usize, weights: &[f64]) -> Vec<usize> {
-        let mut slot_weights = vec![0.0; self.programs.len()];
-        for (&slot, &w) in self.batch_order.iter().zip(weights) {
-            slot_weights[slot] = w;
-        }
-        let slot_shots = apportion_shots(total_shots, &slot_weights);
+        let slot_shots = apportion_shots(total_shots, &self.to_slot_order(weights.to_vec()));
         self.batch_order.iter().map(|&s| slot_shots[s]).collect()
     }
 
@@ -923,16 +726,17 @@ impl MitigationStrategy for MitigationPlan {
 }
 
 /// Stage-2 output: the raw results of every planned program, still keyed
-/// by the plan that produced them. Finite-shot executions
-/// ([`MitigationPlan::execute_sampled`]) carry empirical-frequency
-/// distributions plus the per-program shots actually sampled; exact
-/// executions carry simulator probabilities and no shot record.
+/// by the plan that produced them. Exact executions carry simulator
+/// probabilities; the finite-shot artifacts a
+/// [`MitigationSession`](crate::MitigationSession) recombines carry
+/// empirical frequencies plus the total shots actually sampled.
 #[derive(Debug, Clone)]
 pub struct ExecutionArtifacts<'p> {
     plan: &'p MitigationPlan,
     outputs: Vec<RunOutput>,
-    /// Shots sampled per program slot (`None` for exact executions).
-    sampled_shots: Option<Vec<u64>>,
+    /// Total shots sampled across the batch (`None` for exact
+    /// executions).
+    total_shots: Option<u64>,
     /// Per-engine job counts the runner reported for the batch (`None`
     /// for runners without engine introspection).
     engine_mix: Option<Vec<(String, usize)>>,
@@ -969,6 +773,22 @@ pub(crate) fn placeholder_output(measured_bits: usize) -> RunOutput {
     }
 }
 
+/// Splits fallible batch results into densely indexed outputs — a
+/// [`placeholder_output`] at each failed job — and the per-job errors.
+pub(crate) fn split_results(
+    results: Vec<Result<RunOutput, RunError>>,
+    jobs: &[BatchJob],
+) -> (Vec<RunOutput>, Vec<Option<RunError>>) {
+    results
+        .into_iter()
+        .zip(jobs)
+        .map(|(res, job)| match res {
+            Ok(out) => (out, None),
+            Err(err) => (placeholder_output(job.measured.len()), Some(err)),
+        })
+        .unzip()
+}
+
 impl ExecutionArtifacts<'_> {
     /// The plan these artifacts were executed from.
     pub fn plan(&self) -> &MitigationPlan {
@@ -978,17 +798,6 @@ impl ExecutionArtifacts<'_> {
     /// Raw results, aligned with [`MitigationPlan::programs`].
     pub fn outputs(&self) -> &[RunOutput] {
         &self.outputs
-    }
-
-    /// Shots sampled per program slot, aligned with
-    /// [`MitigationPlan::programs`] (`None` for exact executions).
-    pub fn sampled_shots(&self) -> Option<&[u64]> {
-        self.sampled_shots.as_deref()
-    }
-
-    /// Total shots sampled across the batch (`None` for exact executions).
-    pub fn total_sampled_shots(&self) -> Option<u64> {
-        self.sampled_shots.as_ref().map(|v| v.iter().copied().sum())
     }
 
     /// Per-engine job counts the runner reported for the executed batch
@@ -1123,7 +932,7 @@ impl ExecutionArtifacts<'_> {
                 },
                 global_two_qubit_gates: global_out.two_qubit_gates,
                 batch: Some(plan.batch_stats),
-                total_shots: self.total_sampled_shots(),
+                total_shots: self.total_shots,
                 round_shots: self.round_shots.clone(),
                 engine_mix: self.engine_mix.clone(),
                 failures: self.failures.as_ref().map(|f| FailureStats {

@@ -5,8 +5,8 @@
 //!
 //! * Under the static policies ([`ShotPolicy::Uniform`],
 //!   [`ShotPolicy::WeightedByFanout`]) — or an explicit
-//!   [`ShotPlan`] — the session is a single round, bit-identical to the
-//!   legacy `allocate_shots → execute_sampled` path.
+//!   [`ShotPlan`] ([`MitigationSession::with_shots`]) — the session is a
+//!   single round sampled with the caller's seed.
 //! * Under [`ShotPolicy::Adaptive`] a *pilot* round spends
 //!   `P = ⌊pilot_fraction · total⌋` shots uniformly, the per-program
 //!   sampling dispersion `σ̂_i = √(1 − Σ_o p̂_i(o)²)` is estimated from the
@@ -34,11 +34,11 @@
 //! `tests/adaptive_session.rs`.
 
 use crate::error::ExecError;
-use crate::pipeline::{placeholder_output, ShotPolicy};
+use crate::pipeline::{placeholder_output, split_results, ShotPolicy};
 use qt_baselines::{ExecutionRecord, JobFailures, MitigationStrategy, StrategyError};
 use qt_sim::{
-    job_sample_seed, try_run_batch_resilient, BatchJob, FailureStats, RetryPolicy, RunError,
-    RunOutput, Runner, SampledOutput, ShotPlan,
+    job_sample_seed, sample_outputs, try_run_batch_resilient, BatchJob, FailureStats, RetryPolicy,
+    RunError, RunOutput, Runner, SampledOutput, ShotPlan,
 };
 
 /// One executable round of a session: which round it is, the per-job shot
@@ -54,8 +54,9 @@ pub struct RoundSpec {
     /// Per-job shots, in [`MitigationStrategy::batch_jobs`] order.
     pub shots: ShotPlan,
     /// Seed for this round's sampling. Single-round sessions use the
-    /// caller's seed untouched (bit-compatibility with the legacy path);
-    /// genuine two-round sessions derive one seed per round.
+    /// caller's seed untouched (so they sample exactly as
+    /// `run_batch_sampled(jobs, shots, seed)`); genuine two-round
+    /// sessions derive one seed per round.
     pub seed: u64,
 }
 
@@ -108,7 +109,7 @@ pub struct MitigationSession<S: MitigationStrategy> {
     /// `P` shots and both rounds can fund every job's 1-shot floor.
     pilot: Option<usize>,
     /// Explicit single-round allocation (batch-jobs order), bypassing
-    /// policy-driven allocation — what `execute_sampled` builds.
+    /// policy-driven allocation — see [`MitigationSession::with_shots`].
     explicit: Option<ShotPlan>,
     /// Accumulated counts per job; `None` until a round lands counts.
     acc: Vec<Option<SampledOutput>>,
@@ -172,14 +173,17 @@ impl<S: MitigationStrategy> MitigationSession<S> {
         ))
     }
 
-    /// Opens a single-round session with an explicit per-job allocation
-    /// (batch-jobs order) — the session form of the legacy
-    /// `execute_sampled` call.
+    /// Opens a single-round session with an explicit per-job allocation,
+    /// in [`MitigationStrategy::batch_jobs`] order
+    /// ([`MitigationStrategy::allocate_budget`] produces one).
     ///
     /// # Errors
     ///
     /// [`ExecError::ShotPlanMismatch`] when `shots` does not cover
-    /// exactly the strategy's batch jobs.
+    /// exactly the strategy's batch jobs;
+    /// [`ExecError::EmptyShotAllocation`] when any job is allocated zero
+    /// shots (its "measurement" would be the uniform distribution —
+    /// fabricated data recombination cannot tell from a real result).
     pub fn with_shots(strategy: S, shots: ShotPlan, seed: u64) -> Result<Self, ExecError> {
         let jobs = strategy.batch_jobs();
         if shots.n_jobs() != jobs.len() {
@@ -187,6 +191,9 @@ impl<S: MitigationStrategy> MitigationSession<S> {
                 expected: jobs.len(),
                 got: shots.n_jobs(),
             });
+        }
+        if let Some(slot) = shots.per_job().iter().position(|&s| s == 0) {
+            return Err(ExecError::EmptyShotAllocation { slot });
         }
         let total = shots.total_shots() as usize;
         Ok(Self::with_state(
@@ -351,17 +358,17 @@ impl<S: MitigationStrategy> MitigationSession<S> {
         outputs: Vec<SampledOutput>,
     ) -> Result<(), ExecError> {
         self.check_spec(spec, outputs.len())?;
-        self.absorb_round_unchecked(outputs);
+        self.absorb_round(outputs.into_iter().map(Ok));
         Ok(())
     }
 
     /// Absorbs a round executed as *exact* distributions (batch-jobs
-    /// order), sampling each job deterministically with the round's shot
-    /// allocation and per-job derived seed — the same
-    /// `dist → multinomial` formula as the [`Runner`] sampled surface, so
-    /// a session fed exact outputs (e.g. by a caching service that
-    /// executes jobs once and samples per request) is bit-identical to
-    /// one run against the runner directly.
+    /// order), sampling them with [`sample_outputs`] under the round's
+    /// shot allocation and seed — the same post-step as
+    /// [`Runner::run_batch_sampled`], so a session fed exact outputs (by
+    /// [`MitigationSession::run`], or by a caching service that executes
+    /// jobs once and samples per request) is bit-identical to one fed
+    /// the runner's sampled batches.
     ///
     /// # Errors
     ///
@@ -372,22 +379,17 @@ impl<S: MitigationStrategy> MitigationSession<S> {
         outputs: &[RunOutput],
     ) -> Result<(), ExecError> {
         self.check_spec(spec, outputs.len())?;
-        let sampled: Vec<SampledOutput> = outputs
-            .iter()
-            .enumerate()
-            .map(|(i, out)| {
-                SampledOutput::from_run(out, spec.shots.shots(i), job_sample_seed(spec.seed, i))
-            })
-            .collect();
-        self.absorb_round_unchecked(sampled);
+        let sampled = sample_outputs(outputs, &spec.shots, spec.seed);
+        self.absorb_round(sampled.into_iter().map(Ok));
         Ok(())
     }
 
     /// Absorbs a round executed through the fallible surface: surviving
     /// jobs are sampled exactly as in [`MitigationSession::absorb_exact`]
-    /// (so a retried job's counts are bit-identical to the fault-free
-    /// run); failed jobs keep any counts from earlier rounds and only
-    /// count as *failed* if no round ever produced counts for them.
+    /// (each with its own batch index's seed, so a retried job's counts
+    /// are bit-identical to the fault-free run); failed jobs keep any
+    /// counts from earlier rounds and only count as *failed* if no round
+    /// ever produced counts for them.
     ///
     /// # Errors
     ///
@@ -401,19 +403,34 @@ impl<S: MitigationStrategy> MitigationSession<S> {
         self.check_spec(spec, results.len())?;
         self.fallible = true;
         self.fail_stats.merge(&stats);
+        // Failed jobs sample a zero-shot placeholder, so every surviving
+        // job keeps its own batch index (and seed).
+        let (outputs, errors) = split_results(results, &self.jobs);
+        let shots = errors
+            .iter()
+            .enumerate()
+            .map(|(i, e)| if e.is_some() { 0 } else { spec.shots.shots(i) })
+            .collect();
+        let sampled = sample_outputs(&outputs, &ShotPlan::from_shots(shots), spec.seed);
+        self.absorb_round(sampled.into_iter().zip(errors).map(|(s, e)| match e {
+            None => Ok(s),
+            Some(err) => Err(err),
+        }));
+        Ok(())
+    }
+
+    /// The one absorb loop: merges a round's per-job samples into the
+    /// tally. A failed job keeps counts from earlier rounds and only
+    /// records its error when no round ever produced counts for it.
+    fn absorb_round(&mut self, round: impl Iterator<Item = Result<SampledOutput, RunError>>) {
         let mut round_total = 0u64;
-        for (i, res) in results.into_iter().enumerate() {
+        for (i, res) in round.enumerate() {
             match res {
                 Ok(out) => {
-                    let s = SampledOutput::from_run(
-                        &out,
-                        spec.shots.shots(i),
-                        job_sample_seed(spec.seed, i),
-                    );
-                    round_total += s.counts.shots();
+                    round_total += out.counts.shots();
                     match &mut self.acc[i] {
-                        Some(acc) => acc.absorb(&s),
-                        None => self.acc[i] = Some(s),
+                        Some(acc) => acc.absorb(&out),
+                        None => self.acc[i] = Some(out),
                     }
                     self.errors[i] = None;
                 }
@@ -426,57 +443,12 @@ impl<S: MitigationStrategy> MitigationSession<S> {
         }
         self.round_shots.push(round_total);
         self.completed_rounds += 1;
-        Ok(())
     }
 
-    fn absorb_round_unchecked(&mut self, outputs: Vec<SampledOutput>) {
-        let mut round_total = 0u64;
-        for (i, out) in outputs.into_iter().enumerate() {
-            round_total += out.counts.shots();
-            match &mut self.acc[i] {
-                Some(acc) => acc.absorb(&out),
-                None => self.acc[i] = Some(out),
-            }
-            self.errors[i] = None;
-        }
-        self.round_shots.push(round_total);
-        self.completed_rounds += 1;
-    }
-
-    /// Tears the session down into `(strategy, outputs, record, errors)` —
-    /// the raw material of recombination. Failed jobs hold a zero-mass
-    /// placeholder output and their terminal error sits in both the
-    /// record's failure entry and the returned `errors` vector.
-    pub(crate) fn collect(self) -> (S, Vec<RunOutput>, ExecutionRecord, Vec<Option<RunError>>) {
-        let n = self.jobs.len();
-        let mut outputs = Vec::with_capacity(n);
-        let mut per_job_shots = vec![0u64; n];
-        for (i, acc) in self.acc.iter().enumerate() {
-            match acc {
-                Some(s) => {
-                    per_job_shots[i] = s.counts.shots();
-                    outputs.push(s.to_run_output());
-                }
-                None => outputs.push(placeholder_output(self.jobs[i].measured.len())),
-            }
-        }
-        let failures = self.fallible.then(|| JobFailures {
-            per_job: self.errors.clone(),
-            stats: self.fail_stats,
-        });
-        let record = ExecutionRecord {
-            sampled_shots: Some(per_job_shots),
-            // Round accounting only for genuine multi-round sessions: a
-            // single round must reproduce the legacy report bit-for-bit,
-            // which carries no per-round field.
-            round_shots: self.pilot.is_some().then(|| self.round_shots.clone()),
-            engine_mix: self.engine_mix.clone(),
-            failures,
-        };
-        (self.strategy, outputs, record, self.errors)
-    }
-
-    /// Recombines the absorbed rounds into the strategy's report.
+    /// Recombines the absorbed rounds into the strategy's report. A job
+    /// no round produced counts for hands the strategy a zero-mass
+    /// placeholder output, and its terminal error sits in the record's
+    /// failure entry.
     ///
     /// # Errors
     ///
@@ -485,15 +457,35 @@ impl<S: MitigationStrategy> MitigationSession<S> {
     /// around becomes [`ExecError::JobFailed`] (indexed in batch-jobs
     /// order), contract violations keep their typed forms.
     pub fn finish(self) -> Result<S::Report, ExecError> {
-        let (strategy, outputs, record, errors) = self.collect();
-        strategy
+        let outputs: Vec<RunOutput> = self
+            .acc
+            .iter()
+            .zip(&self.jobs)
+            .map(|(acc, job)| match acc {
+                Some(s) => s.to_run_output(),
+                None => placeholder_output(job.measured.len()),
+            })
+            .collect();
+        let record = ExecutionRecord {
+            total_shots: Some(self.acc.iter().flatten().map(|s| s.counts.shots()).sum()),
+            // Round accounting only for genuine multi-round sessions: a
+            // collapsed adaptive session must be bit-identical to the
+            // uniform single round, which carries no per-round field.
+            round_shots: self.pilot.is_some().then(|| self.round_shots.clone()),
+            engine_mix: self.engine_mix.clone(),
+            failures: self.fallible.then(|| JobFailures {
+                per_job: self.errors.clone(),
+                stats: self.fail_stats,
+            }),
+        };
+        self.strategy
             .recombine_outputs(outputs, &record)
             .map_err(|e| match e {
                 StrategyError::ResultCountMismatch { expected, got } => {
                     ExecError::ResultCountMismatch { expected, got }
                 }
                 StrategyError::JobFailed { job, detail } => {
-                    match errors.get(job).and_then(|e| e.clone()) {
+                    match self.errors.get(job).and_then(|e| e.clone()) {
                         Some(error) => ExecError::JobFailed { slot: job, error },
                         None => ExecError::PlanMismatch { detail },
                     }
@@ -502,27 +494,38 @@ impl<S: MitigationStrategy> MitigationSession<S> {
             })
     }
 
-    /// Drives every round against `runner`'s sampled batch surface and
-    /// recombines — the offline convenience over the stepwise API.
+    /// Executes the session's batch **once** on `runner`, samples every
+    /// round from those exact outputs ([`MitigationSession::absorb_exact`])
+    /// and recombines — the offline convenience over the stepwise API.
+    /// Engines are deterministic given the job, so this is bit-identical
+    /// to executing each round's batch afresh through
+    /// [`Runner::run_batch_sampled`], and a two-round adaptive session
+    /// executes once instead of twice.
     ///
     /// # Errors
     ///
-    /// As [`MitigationSession::absorb_sampled`] and
+    /// As [`MitigationSession::absorb_exact`] and
     /// [`MitigationSession::finish`].
     pub fn run<R: Runner>(mut self, runner: &R) -> Result<S::Report, ExecError> {
         self.engine_mix = runner.engine_mix(&self.jobs);
+        let outputs = runner.run_batch(&self.jobs);
         while let Some(spec) = self.next_round() {
-            let outputs = runner.run_batch_sampled(&self.jobs, &spec.shots, spec.seed);
-            self.absorb_sampled(&spec, outputs)?;
+            self.absorb_exact(&spec, &outputs)?;
         }
         self.finish()
     }
 
-    /// [`MitigationSession::run`] with the failure domain of
-    /// `execute_sampled_fallible`: every round executes through the
-    /// resilient batch surface (panic quarantine, bounded retry), failed
-    /// jobs degrade per round, and the final report carries the merged
-    /// failure statistics of all rounds.
+    /// [`MitigationSession::run`] with a failure domain: every round
+    /// executes through the resilient batch surface (panic quarantine,
+    /// bounded retry), failed jobs degrade per round, and the final
+    /// report carries the merged failure statistics of all rounds.
+    ///
+    /// Unlike [`MitigationSession::run`], each round re-executes the
+    /// batch: a failure belongs to one execution attempt, not to the job.
+    /// A [`qt_sim::ChaosRunner`]'s per-key attempt counters persist across
+    /// rounds, so a job whose transient faults outlast the pilot round's
+    /// retry budget is retried again in the final round, and the counts
+    /// it lands there keep it in the report.
     ///
     /// # Errors
     ///

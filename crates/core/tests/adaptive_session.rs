@@ -8,12 +8,18 @@
 
 use proptest::prelude::*;
 use qt_algos::{qaoa::QaoaParams, qaoa_maxcut, ring_graph, vqe_ansatz};
+use qt_baselines::{plan_jigsaw, JigsawReport};
 use qt_circuit::Circuit;
 use qt_core::{
-    neyman_weights, MitigationStrategy, QuTracer, QuTracerConfig, QuTracerReport, RetryPolicy,
-    ShotPolicy,
+    neyman_weights, ExecError, MitigationPlan, MitigationSession, MitigationStrategy, QuTracer,
+    QuTracerConfig, QuTracerReport, RetryPolicy, ShotPolicy,
 };
-use qt_sim::{Backend, BatchPolicy, ChaosConfig, ChaosRunner, Executor, NoiseModel};
+use qt_dist::Distribution;
+use qt_sim::{
+    Backend, BatchJob, BatchPolicy, ChaosConfig, ChaosRunner, Executor, NoiseModel, Program,
+    RunOutput, Runner, ShotPlan,
+};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn executor() -> Executor {
     Executor::with_backend(
@@ -43,22 +49,31 @@ fn arb_workload() -> impl Strategy<Value = (Circuit, Vec<usize>, QuTracerConfig)
     ]
 }
 
+fn bits(d: &Distribution) -> Vec<(u64, u64)> {
+    d.iter().map(|(i, p)| (i, p.to_bits())).collect()
+}
+
 fn assert_reports_bit_identical(a: &QuTracerReport, b: &QuTracerReport, what: &str) {
-    let xs: Vec<(u64, u64)> = a
-        .distribution
-        .iter()
-        .map(|(i, p)| (i, p.to_bits()))
-        .collect();
-    let ys: Vec<(u64, u64)> = b
-        .distribution
-        .iter()
-        .map(|(i, p)| (i, p.to_bits()))
-        .collect();
-    assert_eq!(xs, ys, "{what}: refined distributions must match bitwise");
+    assert_eq!(
+        bits(&a.distribution),
+        bits(&b.distribution),
+        "{what}: refined distributions must match bitwise"
+    );
     assert_eq!(
         a.stats.total_shots, b.stats.total_shots,
         "{what}: shot totals must match"
     );
+}
+
+/// A policy-driven session over `plan`, driven by its one-call runner.
+fn run_session<R: Runner>(
+    plan: &MitigationPlan,
+    runner: &R,
+    total: usize,
+    policy: ShotPolicy,
+    seed: u64,
+) -> Result<QuTracerReport, ExecError> {
+    MitigationSession::new(plan, policy, total, seed)?.run(runner)
 }
 
 proptest! {
@@ -78,25 +93,19 @@ proptest! {
         let plan = QuTracer::plan(&circ, &measured, &cfg).expect("plannable workload");
         let total = 2048 * plan.n_programs();
 
-        let uniform = plan
-            .run_sampled(&exec, total, ShotPolicy::Uniform, seed)
+        let uniform = run_session(&plan, &exec, total, ShotPolicy::Uniform, seed)
             .expect("uniform single-round run");
-        // The session surface must itself agree with the legacy
-        // allocate-then-execute chain before we compare pilots against it.
-        let legacy = plan
-            .execute_sampled(
-                &exec,
-                &plan.allocate_shots(total, ShotPolicy::Uniform).expect("funded budget"),
-                seed,
-            )
-            .expect("legacy sampled execution")
-            .recombine()
-            .expect("legacy recombination");
-        assert_reports_bit_identical(&uniform, &legacy, "session vs legacy chain");
+        // The policy-driven session must itself agree with an explicit
+        // allocate-then-execute session before we compare pilots against it.
+        let explicit = ShotPlan::from_shots(plan.allocate_budget(total, &vec![1.0; plan.n_jobs()]));
+        let legacy = MitigationSession::with_shots(&plan, explicit, seed)
+            .expect("funded explicit allocation")
+            .run(&exec)
+            .expect("explicit sampled execution");
+        assert_reports_bit_identical(&uniform, &legacy, "policy vs explicit session");
 
         for pf in [0.0, 1.0] {
-            let adaptive = plan
-                .run_sampled(&exec, total, ShotPolicy::Adaptive { pilot_fraction: pf }, seed)
+            let adaptive = run_session(&plan, &exec, total, ShotPolicy::Adaptive { pilot_fraction: pf }, seed)
                 .expect("degenerate adaptive run");
             assert_reports_bit_identical(&adaptive, &uniform, "degenerate adaptive vs uniform");
             prop_assert_eq!(
@@ -123,8 +132,7 @@ proptest! {
         let total = 2048 * plan.n_programs();
         let policy = ShotPolicy::Adaptive { pilot_fraction: 0.25 };
 
-        let baseline = plan
-            .run_sampled(&executor(), total, policy, seed)
+        let baseline = run_session(&plan, &executor(), total, policy, seed)
             .expect("adaptive run");
         let rounds = baseline
             .stats
@@ -134,8 +142,7 @@ proptest! {
         prop_assert_eq!(rounds.len(), 2);
         prop_assert_eq!(rounds.iter().sum::<u64>(), total as u64);
 
-        let replay = plan
-            .run_sampled(&executor(), total, policy, seed)
+        let replay = run_session(&plan, &executor(), total, policy, seed)
             .expect("adaptive replay");
         assert_reports_bit_identical(&replay, &baseline, "seed replay");
         prop_assert_eq!(replay.stats.round_shots.as_deref(), Some(rounds.as_slice()));
@@ -143,8 +150,7 @@ proptest! {
         let per_job = executor()
             .with_batch_policy(BatchPolicy::PerJob)
             .expect("per-job policy is always valid");
-        let via_per_job = plan
-            .run_sampled(&per_job, total, policy, seed)
+        let via_per_job = run_session(&plan, &per_job, total, policy, seed)
             .expect("adaptive run under per-job batching");
         assert_reports_bit_identical(&via_per_job, &baseline, "per-job batching");
         prop_assert_eq!(via_per_job.stats.round_shots.as_deref(), Some(rounds.as_slice()));
@@ -153,8 +159,7 @@ proptest! {
             NoiseModel::depolarizing(0.002, 0.02).with_readout(0.03),
             Backend::DensityMatrix.with_thread_budget(1),
         );
-        let via_one_thread = plan
-            .run_sampled(&single_thread, total, policy, seed)
+        let via_one_thread = run_session(&plan, &single_thread, total, policy, seed)
             .expect("adaptive run on one thread");
         assert_reports_bit_identical(&via_one_thread, &baseline, "single-thread budget");
         prop_assert_eq!(via_one_thread.stats.round_shots.as_deref(), Some(rounds.as_slice()));
@@ -215,13 +220,8 @@ proptest! {
         };
         let outcome = |_: ()| {
             let chaos = ChaosRunner::new(executor(), config);
-            plan.run_sampled_fallible(
-                &chaos,
-                total,
-                ShotPolicy::Adaptive { pilot_fraction: 0.25 },
-                seed,
-                &RetryPolicy::immediate(2),
-            )
+            MitigationSession::new(&plan, ShotPolicy::Adaptive { pilot_fraction: 0.25 }, total, seed)?
+                .run_fallible(&chaos, &RetryPolicy::immediate(2))
         };
         match (outcome(()), outcome(())) {
             (Ok(a), Ok(b)) => {
@@ -245,4 +245,95 @@ proptest! {
             ),
         }
     }
+}
+
+/// Counts [`Runner::run_batch`] calls on a wrapped executor.
+struct CountingRunner {
+    inner: Executor,
+    batches: AtomicUsize,
+}
+
+impl CountingRunner {
+    fn new(inner: Executor) -> Self {
+        CountingRunner {
+            inner,
+            batches: AtomicUsize::new(0),
+        }
+    }
+
+    fn batches(&self) -> usize {
+        self.batches.load(Ordering::Relaxed)
+    }
+}
+
+impl Runner for CountingRunner {
+    fn run(&self, program: &Program, measured: &[usize]) -> RunOutput {
+        self.inner.run(program, measured)
+    }
+
+    fn run_batch(&self, jobs: &[BatchJob]) -> Vec<RunOutput> {
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.inner.run_batch(jobs)
+    }
+
+    fn engine_mix(&self, jobs: &[BatchJob]) -> Option<Vec<(String, usize)>> {
+        self.inner.engine_mix(jobs)
+    }
+}
+
+/// The stepwise loop `MitigationSession::run` replaces: every round runs
+/// its batch afresh through `run_batch_sampled`.
+fn run_stepwise<S: MitigationStrategy>(
+    mut session: MitigationSession<S>,
+    runner: &Executor,
+) -> Result<S::Report, ExecError> {
+    session.set_engine_mix(runner.engine_mix(session.jobs()));
+    while let Some(spec) = session.next_round() {
+        let outputs = runner.run_batch_sampled(session.jobs(), &spec.shots, spec.seed);
+        session.absorb_sampled(&spec, outputs)?;
+    }
+    session.finish()
+}
+
+/// `MitigationSession::run` executes a genuine two-round adaptive session
+/// with **one** batch submission — both rounds sample the same exact
+/// outputs — and still reproduces the per-round stepwise loop bit for bit.
+#[test]
+fn adaptive_session_run_executes_the_batch_once() {
+    let policy = ShotPolicy::Adaptive {
+        pilot_fraction: 0.5,
+    };
+    let circuit = qaoa_maxcut(5, &ring_graph(5), &QaoaParams::seeded(2, 4));
+    let measured: Vec<usize> = (0..5).collect();
+
+    // QuTracer's staged pipeline.
+    let plan = QuTracer::plan(&circuit, &measured, &QuTracerConfig::pairs()).unwrap();
+    let total = 256 * plan.n_jobs();
+    let session = || MitigationSession::new(&plan, policy, total, 11).unwrap();
+    assert!(
+        session().is_adaptive(),
+        "the budget funds two genuine rounds"
+    );
+    let counting = CountingRunner::new(executor());
+    let once = session().run(&counting).unwrap();
+    assert_eq!(counting.batches(), 1, "two rounds, one execution");
+    let stepwise = run_stepwise(session(), &executor()).unwrap();
+    assert_reports_bit_identical(&once, &stepwise, "qutracer run vs stepwise");
+    assert_eq!(once.stats.round_shots, stepwise.stats.round_shots);
+    assert_eq!(once.stats.engine_mix, stepwise.stats.engine_mix);
+    assert_eq!(once.stats.round_shots.map(|r| r.len()), Some(2));
+
+    // The Jigsaw baseline through the same session.
+    let jigsaw = plan_jigsaw(&circuit, &measured, 2);
+    let total = 4096 * jigsaw.n_jobs();
+    let session = || MitigationSession::new(&jigsaw, policy, total, 5).unwrap();
+    assert!(session().is_adaptive());
+    let counting = CountingRunner::new(executor());
+    let once: JigsawReport = session().run(&counting).unwrap();
+    assert_eq!(counting.batches(), 1, "two rounds, one execution");
+    let stepwise = run_stepwise(session(), &executor()).unwrap();
+    assert_eq!(bits(&once.distribution), bits(&stepwise.distribution));
+    assert_eq!(bits(&once.global), bits(&stepwise.global));
+    assert_eq!(once.stats, stepwise.stats);
+    assert_eq!(once.stats.round_shots.map(|r| r.len()), Some(2));
 }

@@ -9,7 +9,8 @@ use proptest::prelude::*;
 use qt_algos::{qaoa::QaoaParams, qaoa_maxcut, ring_graph, vqe_ansatz};
 use qt_circuit::Circuit;
 use qt_core::{
-    ExecError, JobKind, QuTracer, QuTracerConfig, QuTracerReport, RetryPolicy, ShotPolicy,
+    ExecError, JobKind, MitigationSession, QuTracer, QuTracerConfig, QuTracerReport, RetryPolicy,
+    ShotPolicy,
 };
 use qt_sim::{
     Backend, ChaosConfig, ChaosRunner, Executor, Fault, JobKey, NoiseModel, RunErrorKind,
@@ -148,19 +149,17 @@ proptest! {
         sample_seed in 0u64..1000,
     ) {
         let plan = QuTracer::plan(&circ, &measured, &cfg).expect("plannable workload");
-        let shots = plan.allocate_shots(512 * plan.n_programs(), ShotPolicy::Uniform)
-            .expect("budget funds the floor");
-        let clean = plan
-            .execute_sampled(&executor(), &shots, sample_seed)
-            .expect("fault-free sampled execution")
-            .recombine()
-            .expect("fault-free sampled recombination");
+        let session = || {
+            MitigationSession::new(&plan, ShotPolicy::Uniform, 512 * plan.n_programs(), sample_seed)
+                .expect("budget funds the floor")
+        };
+        let clean = session()
+            .run(&executor())
+            .expect("fault-free sampled execution");
 
         let chaos = ChaosRunner::new(executor(), recoverable_chaos(chaos_seed));
-        let report = plan
-            .execute_sampled_fallible(&chaos, &shots, sample_seed, &RetryPolicy::immediate(3))
-            .expect("fallible sampled execution")
-            .recombine()
+        let report = session()
+            .run_fallible(&chaos, &RetryPolicy::immediate(3))
             .expect("recoverable sampled chaos must still recombine");
 
         assert_reports_bit_identical(&report, &clean, "recoverable sampled chaos");

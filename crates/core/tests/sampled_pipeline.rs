@@ -1,5 +1,5 @@
 //! Finite-shot pipeline properties: the sampled staged pipeline
-//! (`plan → execute_sampled → recombine`) must converge to the exact
+//! (`plan → MitigationSession → recombine`) must converge to the exact
 //! pipeline as the shot budget grows, allocate budgets exactly, record
 //! real shots in the overhead stats, and surface shape errors as typed
 //! values instead of panics.
@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use qt_algos::{qaoa::QaoaParams, qaoa_maxcut, ring_graph, vqe_ansatz};
 use qt_circuit::Circuit;
-use qt_core::{ExecError, QuTracer, QuTracerConfig, ShotPolicy};
+use qt_core::{ExecError, MitigationSession, QuTracer, QuTracerConfig, ShotPolicy};
 use qt_dist::hellinger_fidelity;
 use qt_sim::{Backend, Executor, NoiseModel, ShotPlan};
 
@@ -60,12 +60,10 @@ proptest! {
         let mut fidelities = Vec::new();
         for per_program in [64usize, 65_536] {
             let budget = per_program * plan.n_programs();
-            let shots = plan.allocate_shots(budget, ShotPolicy::Uniform).expect("budget funds the floor");
-            let report = plan
-                .execute_sampled(&exec, &shots, seed)
-                .expect("sampled execution")
-                .recombine()
-                .expect("sampled recombination");
+            let report = MitigationSession::new(&plan, ShotPolicy::Uniform, budget, seed)
+                .expect("budget funds the floor")
+                .run(&exec)
+                .expect("sampled execution");
             prop_assert_eq!(report.stats.total_shots, Some(budget as u64));
             fidelities.push(hellinger_fidelity(&report.distribution, &exact.distribution));
         }
@@ -84,10 +82,11 @@ proptest! {
     fn sampled_pipeline_is_seed_stable((circ, measured, cfg) in arb_workload()) {
         let exec = executor();
         let plan = QuTracer::plan(&circ, &measured, &cfg).expect("plannable workload");
-        let shots = plan.allocate_shots(2048 * plan.n_programs(), ShotPolicy::Uniform)
-        .expect("budget funds the floor");
-        let a = plan.execute_sampled(&exec, &shots, 5).unwrap().recombine().unwrap();
-        let b = plan.execute_sampled(&exec, &shots, 5).unwrap().recombine().unwrap();
+        let budget = 2048 * plan.n_programs();
+        let run = || MitigationSession::new(&plan, ShotPolicy::Uniform, budget, 5)
+            .and_then(|session| session.run(&exec))
+            .unwrap();
+        let (a, b) = (run(), run());
         let xs: Vec<(u64, f64)> = a.distribution.iter().collect();
         let ys: Vec<(u64, f64)> = b.distribution.iter().collect();
         prop_assert_eq!(xs.len(), ys.len(), "same seed, same support");
@@ -158,44 +157,66 @@ fn mismatched_shot_plans_are_typed_errors() {
     let plan = QuTracer::plan(&circ, &measured, &QuTracerConfig::single()).unwrap();
     let exec = executor();
     let wrong = ShotPlan::uniform(plan.n_programs() + 3, 100);
-    match plan.execute_sampled(&exec, &wrong, 1) {
+    let run = |shots: ShotPlan| MitigationSession::with_shots(&plan, shots, 1)?.run(&exec);
+    match run(wrong.clone()) {
         Err(ExecError::ShotPlanMismatch { expected, got }) => {
             assert_eq!(expected, plan.n_programs());
             assert_eq!(got, plan.n_programs() + 3);
         }
         other => panic!("expected ShotPlanMismatch, got {other:?}"),
     }
-    let e = plan.execute_sampled(&exec, &wrong, 1).unwrap_err();
+    let e = run(wrong).unwrap_err();
     assert!(e.to_string().contains("shot plan"), "{e}");
 
     // A zero-shot program would fabricate a uniform "measurement" that
     // recombination cannot tell from real data — rejected up front.
     let mut per_job = vec![100usize; plan.n_programs()];
     per_job[1] = 0;
-    match plan.execute_sampled(&exec, &ShotPlan::from_shots(per_job), 1) {
+    match run(ShotPlan::from_shots(per_job)) {
         Err(ExecError::EmptyShotAllocation { slot }) => assert_eq!(slot, 1),
         other => panic!("expected EmptyShotAllocation, got {other:?}"),
     }
 }
 
+/// Regression: an explicit allocation with a zero-shot job used to open a
+/// session anyway, and the job's fabricated uniform "measurement" was
+/// recombined into an `Ok` report. The check now sits in the session
+/// constructor itself, before anything executes.
 #[test]
-fn sampled_artifacts_expose_per_program_shots() {
+fn zero_shot_explicit_session_is_rejected_before_execution() {
+    let circ = vqe_ansatz(4, 1, 7);
+    let measured: Vec<usize> = (0..4).collect();
+    let plan = QuTracer::plan(&circ, &measured, &QuTracerConfig::single()).unwrap();
+    let last = plan.n_programs() - 1;
+    let mut per_job = vec![64usize; plan.n_programs()];
+    per_job[last] = 0;
+    match MitigationSession::with_shots(&plan, ShotPlan::from_shots(per_job), 3) {
+        Err(ExecError::EmptyShotAllocation { slot }) => assert_eq!(slot, last),
+        Err(other) => panic!("expected EmptyShotAllocation, got {other:?}"),
+        Ok(_) => panic!("a zero-shot job must not open a session"),
+    }
+}
+
+#[test]
+fn sampled_reports_record_real_shots() {
     let circ = vqe_ansatz(4, 1, 2);
     let measured: Vec<usize> = (0..4).collect();
     let plan = QuTracer::plan(&circ, &measured, &QuTracerConfig::single()).unwrap();
     let exec = executor();
-    let shots = plan
-        .allocate_shots(500 * plan.n_programs(), ShotPolicy::Uniform)
+    // An uneven explicit allocation: the report must record exactly the
+    // shots drawn, not a per-program estimate.
+    let per_job: Vec<usize> = (0..plan.n_programs()).map(|i| 400 + 7 * i).collect();
+    let total: u64 = per_job.iter().map(|&s| s as u64).sum();
+    let report = MitigationSession::with_shots(&plan, ShotPlan::from_shots(per_job), 3)
+        .unwrap()
+        .run(&exec)
         .unwrap();
-    let artifacts = plan.execute_sampled(&exec, &shots, 3).unwrap();
-    let per_slot = artifacts
-        .sampled_shots()
-        .expect("sampled run records shots");
-    assert_eq!(per_slot.len(), plan.n_programs());
-    for (i, &s) in per_slot.iter().enumerate() {
-        assert_eq!(s, shots.shots(i) as u64, "slot {i}");
-    }
-    assert_eq!(artifacts.total_sampled_shots(), Some(shots.total_shots()));
+    assert_eq!(report.stats.total_shots, Some(total));
+    assert_eq!(
+        report.stats.round_shots, None,
+        "a single round has no ledger"
+    );
     // The exact path records nothing.
-    assert_eq!(plan.execute(&exec).unwrap().total_sampled_shots(), None);
+    let exact = plan.execute(&exec).unwrap().recombine().unwrap();
+    assert_eq!(exact.stats.total_shots, None);
 }

@@ -7,7 +7,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 /// Largest accepted header block (request line + headers).
-const MAX_HEAD_BYTES: usize = 16 * 1024;
+pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Largest accepted request/response body.
 pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
@@ -26,10 +26,17 @@ pub struct Message {
 }
 
 /// Reads one HTTP message (head + `Content-Length` body) off `stream`.
-pub fn read_message(stream: &mut TcpStream) -> io::Result<Message> {
-    let mut reader = BufReader::new(stream);
+///
+/// The head is read through a [`Read::take`] bound, so a peer that never
+/// sends a newline costs at most [`MAX_HEAD_BYTES`]` + 1` bytes before the
+/// typed "header block too large" error; the body is then read to exactly
+/// its declared length. Malformed input of any kind is an
+/// [`io::Error`], never a panic.
+pub fn read_message<R: Read>(stream: R) -> io::Result<Message> {
+    let mut reader = BufReader::new(stream.take(MAX_HEAD_BYTES as u64 + 1));
     let mut head = String::new();
     let mut first_line = String::new();
+    let mut head_bytes = 0usize;
     loop {
         let mut line = String::new();
         let n = reader.read_line(&mut line)?;
@@ -39,7 +46,8 @@ pub fn read_message(stream: &mut TcpStream) -> io::Result<Message> {
                 "connection closed mid-head",
             ));
         }
-        if head.len() + line.len() > MAX_HEAD_BYTES {
+        head_bytes += n;
+        if head_bytes > MAX_HEAD_BYTES {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "header block too large",
@@ -78,6 +86,12 @@ pub fn read_message(stream: &mut TcpStream) -> io::Result<Message> {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
     }
 
+    // Re-bound the stream to the body: what the reader already buffered
+    // past the head counts toward it.
+    let buffered = reader.buffer().len();
+    reader
+        .get_mut()
+        .set_limit(content_length.saturating_sub(buffered) as u64);
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
     let body = String::from_utf8(body)

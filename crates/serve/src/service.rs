@@ -311,7 +311,7 @@ impl<R: Runner + Send + Sync + 'static> MitigationService<R> {
     /// under `policy` with `total_shots` and sampling seed `seed`. Each
     /// round of the session (two for a genuinely adaptive policy) runs
     /// through the shared batcher and result cache; the served report is
-    /// bit-identical to [`MitigationPlan::run_sampled`] offline against
+    /// bit-identical to [`MitigationSession::run`] offline against
     /// the same runner.
     ///
     /// # Errors

@@ -6,7 +6,9 @@
 
 use qt_algos::{qaoa_maxcut, ring_graph, QaoaParams};
 use qt_circuit::Circuit;
-use qt_core::{run_qutracer, QuTracer, QuTracerConfig, QuTracerReport, ShotPolicy};
+use qt_core::{
+    run_qutracer, MitigationSession, QuTracer, QuTracerConfig, QuTracerReport, ShotPolicy,
+};
 use qt_dist::Distribution;
 use qt_serve::{serve, JobState, MitigationService, ServiceClient, ServiceConfig, ServiceError};
 use qt_sim::{Backend, ChaosConfig, ChaosRunner, Executor, NoiseModel};
@@ -268,7 +270,7 @@ fn shutdown_mid_batch_completes_in_flight_and_fails_queued_typed() {
 /// to the same session run offline: the service executes the pilot
 /// through its batcher, requeues the final round (served from the result
 /// cache — same jobs), and the recombined report matches
-/// `MitigationPlan::run_sampled` to the last bit, including the per-round
+/// `MitigationSession::run` to the last bit, including the per-round
 /// shot accounting on the wire.
 #[test]
 fn adaptive_session_is_served_bit_identical_to_offline() {
@@ -292,8 +294,8 @@ fn adaptive_session_is_served_bit_identical_to_offline() {
     server.shutdown();
 
     let plan = QuTracer::plan(&circuit, &measured, &cfg).unwrap();
-    let local = plan
-        .run_sampled(&runner(), total as usize, policy, seed)
+    let local = MitigationSession::new(&plan, policy, total as usize, seed)
+        .and_then(|session| session.run(&runner()))
         .unwrap();
 
     assert_report_identical(&served, &local);

@@ -96,7 +96,7 @@ impl SampledOutput {
     }
 }
 
-/// Per-job shot allocation of one [`Runner::run_batch_sampled`] submission.
+/// Per-job shot allocation of one sampled batch ([`sample_outputs`]).
 /// Allocation *policies* (splitting a total budget across a mitigation
 /// plan's deduplicated programs) live upstream in `qt-core`; the executor
 /// only needs the final per-job counts.
@@ -141,29 +141,6 @@ impl ShotPlan {
     pub fn total_shots(&self) -> u64 {
         self.per_job.iter().map(|&s| s as u64).sum()
     }
-
-    /// The job-wise sum of two allocations over the same batch — what a
-    /// multi-round session has spent *in total* after merging a pilot
-    /// round into the final one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plans cover different job counts.
-    pub fn merge(&self, other: &ShotPlan) -> ShotPlan {
-        assert_eq!(
-            self.per_job.len(),
-            other.per_job.len(),
-            "cannot merge shot plans over different batches"
-        );
-        ShotPlan {
-            per_job: self
-                .per_job
-                .iter()
-                .zip(&other.per_job)
-                .map(|(&a, &b)| a + b)
-                .collect(),
-        }
-    }
 }
 
 /// The per-job sampling seed of a batched finite-shot submission: a
@@ -171,10 +148,8 @@ impl ShotPlan {
 /// each other *and* from the per-stream offsets inside one job's sampler
 /// (which are additive in the raw seed).
 ///
-/// Public because fallible execution paths (`qt_core`'s
-/// `execute_sampled_fallible`) sample retried jobs *after* exact
-/// re-execution and must reuse the seed of each job's original submission
-/// index to stay bit-identical to the fault-free run.
+/// Public because multi-round sessions (`qt_core::MitigationSession`)
+/// derive their per-round seeds with it.
 pub fn job_sample_seed(seed: u64, index: usize) -> u64 {
     let mut z = seed
         ^ (index as u64)
@@ -183,6 +158,30 @@ pub fn job_sample_seed(seed: u64, index: usize) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// Samples a batch of exact outputs at finite shot budgets — the
+/// dist-then-multinomial post-step of [`Runner::run_batch_sampled`] and of
+/// every `qt_core::MitigationSession` round: job `i` draws
+/// `shots.shots(i)` outcomes with the seed
+/// `job_sample_seed(seed, i)`. Counts depend only on each job's output,
+/// its shots and its batch index, so however the outputs were produced
+/// (batched, serial, cached, retried) the samples agree bit for bit. The
+/// per-job draws fan out over scoped threads.
+///
+/// # Panics
+///
+/// Panics if `shots` does not cover exactly `outs.len()` jobs.
+pub fn sample_outputs(outs: &[RunOutput], shots: &ShotPlan, seed: u64) -> Vec<SampledOutput> {
+    assert_eq!(
+        outs.len(),
+        shots.n_jobs(),
+        "shot plan covers a different number of jobs than submitted"
+    );
+    let workers = backend::available_threads().min(outs.len().max(1));
+    backend::parallel_indexed(outs.len(), workers, |i| {
+        SampledOutput::from_run(&outs[i], shots.shots(i), job_sample_seed(seed, i))
+    })
 }
 
 /// Samples `shots` outcomes from a [`Distribution`] in a fixed number of
@@ -498,54 +497,23 @@ pub trait Runner {
             .collect()
     }
 
-    /// Executes `program` at a finite shot budget: the noisy distribution
-    /// is computed as in [`Runner::run`], then `shots` outcomes are drawn
-    /// from it (dist-then-multinomial). Counts depend only on the job and
-    /// `(shots, seed)` — stable across machines and thread counts.
-    fn run_sampled(
-        &self,
-        program: &Program,
-        measured: &[usize],
-        shots: usize,
-        seed: u64,
-    ) -> SampledOutput {
-        self.run_batch_sampled(
-            &[BatchJob::new(program.clone(), measured)],
-            &ShotPlan::uniform(1, shots),
-            seed,
-        )
-        .remove(0)
-    }
-
     /// Executes a batch of independent jobs at finite shot budgets,
-    /// returning sampled counts in job order. The default implementation
-    /// runs the batch through [`Runner::run_batch`] — inheriting whatever
-    /// batching the runner does (deduplication, prefix sharing,
-    /// transpilation grouping) — and then samples each job's terminal
-    /// distribution with a per-index seed, so results are bit-identical
-    /// for any scheduling of the same job list.
+    /// returning sampled counts in job order: the batch runs through
+    /// [`Runner::run_batch`] — inheriting whatever batching the runner
+    /// does (deduplication, prefix sharing, transpilation grouping) — and
+    /// [`sample_outputs`] then draws each job's shots. Results are
+    /// bit-identical for any scheduling of the same job list.
     ///
     /// # Panics
     ///
-    /// Panics if `shots` does not cover exactly `jobs.len()` jobs (callers
-    /// with fallible plumbing validate first — see
-    /// `qt_core::MitigationPlan::execute_sampled`).
+    /// Panics if `shots` does not cover exactly `jobs.len()` jobs.
     fn run_batch_sampled(
         &self,
         jobs: &[BatchJob],
         shots: &ShotPlan,
         seed: u64,
     ) -> Vec<SampledOutput> {
-        assert_eq!(
-            jobs.len(),
-            shots.n_jobs(),
-            "shot plan covers a different number of jobs than submitted"
-        );
-        self.run_batch(jobs)
-            .iter()
-            .enumerate()
-            .map(|(i, out)| SampledOutput::from_run(out, shots.shots(i), job_sample_seed(seed, i)))
-            .collect()
+        sample_outputs(&self.run_batch(jobs), shots, seed)
     }
 
     /// The engine mix this runner would use for `jobs`: `(engine name, job
@@ -569,37 +537,6 @@ pub trait Runner {
     /// healthy results.
     fn try_run_batch(&self, jobs: &[BatchJob]) -> Vec<Result<RunOutput, crate::RunError>> {
         self.run_batch(jobs).into_iter().map(Ok).collect()
-    }
-
-    /// Fallible finite-shot batch surface. Mirrors
-    /// [`Runner::run_batch_sampled`]: exact distributions come from
-    /// [`Runner::try_run_batch`], then each successful job is sampled with
-    /// its index-derived seed — so the `Ok` entries are bit-identical to
-    /// the infallible sampled path regardless of which other jobs failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shots` does not cover exactly `jobs.len()` jobs.
-    fn try_run_batch_sampled(
-        &self,
-        jobs: &[BatchJob],
-        shots: &ShotPlan,
-        seed: u64,
-    ) -> Vec<Result<SampledOutput, crate::RunError>> {
-        assert_eq!(
-            jobs.len(),
-            shots.n_jobs(),
-            "shot plan covers a different number of jobs than submitted"
-        );
-        self.try_run_batch(jobs)
-            .into_iter()
-            .enumerate()
-            .map(|(i, res)| {
-                res.map(|out| {
-                    SampledOutput::from_run(&out, shots.shots(i), job_sample_seed(seed, i))
-                })
-            })
-            .collect()
     }
 }
 
@@ -702,31 +639,6 @@ impl Runner for Executor {
             BatchPolicy::PerJob => self.run_batch_per_job(jobs),
             BatchPolicy::Trie { max_live_states } => self.run_batch_trie(jobs, max_live_states),
         }
-    }
-
-    /// The finite-shot batch path: terminal distributions come from the
-    /// configured [`BatchPolicy`] — under the default trie policy every
-    /// shared op prefix still evolves once, so prefix sharing and plan-level
-    /// dedup fan-out carry over to sampling — and the per-job multinomial
-    /// draws then fan out over scoped threads. Per-job seeds depend only on
-    /// the job's index, so the counts are bit-identical to the serial
-    /// default for any worker count and either batch policy.
-    fn run_batch_sampled(
-        &self,
-        jobs: &[BatchJob],
-        shots: &ShotPlan,
-        seed: u64,
-    ) -> Vec<SampledOutput> {
-        assert_eq!(
-            jobs.len(),
-            shots.n_jobs(),
-            "shot plan covers a different number of jobs than submitted"
-        );
-        let outs = self.run_batch(jobs);
-        let workers = backend::available_threads().min(jobs.len().max(1));
-        backend::parallel_indexed(jobs.len(), workers, |i| {
-            SampledOutput::from_run(&outs[i], shots.shots(i), job_sample_seed(seed, i))
-        })
     }
 
     fn engine_mix(&self, jobs: &[BatchJob]) -> Option<Vec<(String, usize)>> {

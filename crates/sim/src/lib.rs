@@ -51,8 +51,8 @@ pub use classify::ProgramProfile;
 pub use density::DensityMatrix;
 pub use executor::{
     batch_trie_stats, ideal_distribution, job_sample_seed, sample_counts_deterministic,
-    BatchConfigError, BatchJob, BatchPolicy, Executor, JobInterner, JobKey, RunOutput, Runner,
-    SampledOutput, ShotPlan, MAX_MEASURED_BITS,
+    sample_outputs, BatchConfigError, BatchJob, BatchPolicy, Executor, JobInterner, JobKey,
+    RunOutput, Runner, SampledOutput, ShotPlan, MAX_MEASURED_BITS,
 };
 pub use fault::{
     try_run_batch_isolated, try_run_batch_resilient, ChaosConfig, ChaosRunner, FailureStats, Fault,

@@ -1,14 +1,14 @@
 //! Finite-shot batch execution contracts: sampled counts must be a pure
 //! function of `(jobs, shot plan, seed)` — stable across repeated runs,
 //! bit-identical between the trie-integrated and per-job batch policies
-//! and between the trait-default and `Executor`-override paths, and
-//! invariant to the sampler's worker-thread count.
+//! and between batched and individually executed jobs, and invariant to
+//! the sampler's worker-thread count.
 
 use qt_circuit::Circuit;
 use qt_dist::Distribution;
 use qt_sim::{
-    sample_counts_deterministic, Backend, BatchConfigError, BatchJob, BatchPolicy, Executor,
-    NoiseModel, Program, RunOutput, Runner, ShotPlan,
+    sample_counts_deterministic, sample_outputs, Backend, BatchConfigError, BatchJob, BatchPolicy,
+    Executor, NoiseModel, Program, RunOutput, Runner, ShotPlan,
 };
 
 fn qaoa_like_jobs() -> Vec<BatchJob> {
@@ -34,8 +34,8 @@ fn executor() -> Executor {
     )
 }
 
-/// A wrapper that deliberately exposes only `Runner::run`, so every batch
-/// and sampling method exercises the trait's *default* implementations.
+/// A wrapper that deliberately exposes only `Runner::run`, so batch
+/// execution runs the trait's serial *default* loop.
 struct DefaultsOnly(Executor);
 
 impl Runner for DefaultsOnly {
@@ -78,16 +78,20 @@ fn sampled_counts_are_identical_across_batch_policies_and_defaults() {
         "Trie and PerJob sampling must agree bit-for-bit"
     );
     let defaults = DefaultsOnly(exec).run_batch_sampled(&jobs, &plan, 7);
-    assert_eq!(trie, defaults, "trait-default path must agree bit-for-bit");
+    assert_eq!(
+        trie, defaults,
+        "serial default batch must agree bit-for-bit"
+    );
 }
 
 #[test]
 fn single_job_sampling_matches_its_batch() {
     let exec = executor();
     let jobs = qaoa_like_jobs();
-    let single = exec.run_sampled(&jobs[0].program, &jobs[0].measured, 3000, 9);
-    let batch = exec.run_batch_sampled(&jobs[0..1], &ShotPlan::uniform(1, 3000), 9);
-    assert_eq!(single, batch[0]);
+    let shots = ShotPlan::uniform(1, 3000);
+    let single = sample_outputs(&[exec.run(&jobs[0].program, &jobs[0].measured)], &shots, 9);
+    let batch = exec.run_batch_sampled(&jobs[0..1], &shots, 9);
+    assert_eq!(single, batch);
 }
 
 #[test]
@@ -135,8 +139,12 @@ fn empirical_frequencies_converge_to_the_noisy_distribution() {
     c.h(0).cx(0, 1).ry(2, 0.4).cz(1, 2);
     let p = Program::from_circuit(&c);
     let exact = exec.run(&p, &[0, 1, 2]);
-    let sampled = exec.run_sampled(&p, &[0, 1, 2], 1 << 20, 5);
-    let freq = sampled.to_run_output();
+    let sampled = sample_outputs(
+        std::slice::from_ref(&exact),
+        &ShotPlan::uniform(1, 1 << 20),
+        5,
+    );
+    let freq = sampled[0].to_run_output();
     for i in 0..8 {
         let (f, e) = (freq.dist.prob(i), exact.dist.prob(i));
         assert!((f - e).abs() < 5e-3, "frequency {f} vs exact {e}");
